@@ -67,7 +67,7 @@ from repro.learners.registry import (
 )
 from repro.learners.ridge import RidgeRegressor
 from repro.parallel.executor import get_shared, run_tasks
-from repro.parallel.faults import FailureReport, FaultPlan, RetryPolicy
+from repro.parallel.faults import FailureReport, FaultPlan
 from repro.parallel.profiling import cpu_seconds
 from repro.parallel.resources import TaskCost, design_matrix_bytes, training_work_units
 from repro.telemetry.events import (
@@ -302,14 +302,6 @@ def run_feature_task(task: FeatureTask) -> "tuple[FeatureModel, TaskCost] | None
 #: append (batch results stream to the checkpoint per batch, not per run).
 MAX_BATCH_FEATURES = 64
 
-#: Global switch for masked (shared-rows, per-member input-subset)
-#: grouping. Results are bitwise identical either way — the flag exists
-#: so the Table IV benchmark can price the masked path against the
-#: singleton-batch baseline it replaced (benchmarks/bench_table4_diverse
-#: .py flips it around the "pre" run). Planning happens in the parent
-#: process only, so the flag never crosses a worker boundary.
-MASKED_GROUPING = True
-
 
 @dataclass(frozen=True)
 class FeatureBatch:
@@ -368,7 +360,6 @@ def plan_feature_batches(
     Ordering is deterministic: groups appear in first-member order and
     members in task order, so plans are identical across runs and modes.
     """
-    masked = masked and MASKED_GROUPING
     by_mask: "dict[bytes, dict[bytes, list[int]]]" = {}
     passthrough: list[int] = []
     for pos, task in enumerate(tasks):
@@ -707,8 +698,8 @@ def run_feature_tasks(
     )
     if use_batched:
         return _run_batched(tasks, shared, checkpoint, failures)
-    # The reference path: one executor item per (feature, slot). run_tasks
-    # itself picks fail-fast vs resilient from which arguments are set.
+    # The reference path: one executor item per (feature, slot), under the
+    # caller's retry policy (fail-fast when there is none).
     return run_tasks(
         run_feature_task,
         tasks,
@@ -727,12 +718,13 @@ def _run_batched(tasks, shared, checkpoint, failures):
     1. *Checkpoint pre-pass* (per feature): cached results resolve without
        execution, emitting the same ``CheckpointHit``/``CheckpointMiss``
        and cached-``FeatureTaskFinished`` events, in the same task order,
-       as the resilient per-feature scheduler.
+       as the per-feature scheduler.
     2. *Batch wave*: remaining batchable tasks run as quiet coarse items
        (no batch-level lifecycle events); completed batches stream to the
-       journal through :class:`_FanoutJournal` at per-feature keys. Under
-       a retry policy, transient faults retry at batch granularity and
-       exhausted batches are *decomposed*, never skipped outright.
+       journal through :class:`_FanoutJournal` at per-feature keys.
+       Transient faults retry at batch granularity under the caller's
+       policy, and exhausted batches are *decomposed*, never skipped
+       outright or raised — also under fail-fast.
     3. *Lifecycle re-emission*: each batch-completed feature gets its
        ``FeatureTaskStarted``/``FeatureTaskFinished`` pair, so per-feature
        event counts are replay-identical with the per-feature path.
@@ -748,9 +740,6 @@ def _run_batched(tasks, shared, checkpoint, failures):
     n = len(tasks)
     keys = [feature_task_key(task) for task in tasks]
     results: "list" = [None] * n
-    resilient = (
-        execution.retry is not None or checkpoint is not None or failures is not None
-    )
 
     # 1. Per-feature checkpoint pre-pass.
     pending: list[int] = list(range(n))
@@ -783,20 +772,20 @@ def _run_batched(tasks, shared, checkpoint, failures):
     completed_batches: "list[tuple[FeatureBatch, list]]" = []
     leftover = [pending[pos] for pos in passthrough]
     if batches:
-        wave_policy = None
-        if resilient:
-            base = execution.retry or RetryPolicy(max_retries=0, on_exhaustion="raise")
-            wave_policy = replace(
-                base,
-                on_exhaustion="skip",
-                task_timeout=(
-                    None
-                    if base.task_timeout is None
-                    # A batch is up to max-batch features of work; scale the
-                    # per-feature budget so grouping cannot induce timeouts.
-                    else base.task_timeout * max(len(b.tasks) for b in batches)
-                ),
-            )
+        # Failed batches are skipped here and decomposed below, whatever the
+        # caller's policy: their members then fail (or retry) per feature.
+        base = execution.policy
+        wave_policy = replace(
+            base,
+            on_exhaustion="skip",
+            task_timeout=(
+                None
+                if base.task_timeout is None
+                # A batch is up to max-batch features of work; scale the
+                # per-feature budget so grouping cannot induce timeouts.
+                else base.task_timeout * max(len(b.tasks) for b in batches)
+            ),
+        )
         wave_values = run_tasks(
             run_feature_batch,
             batches,
@@ -804,7 +793,7 @@ def _run_batched(tasks, shared, checkpoint, failures):
             config=replace(execution, retry=wave_policy),
             checkpoint=None if checkpoint is None else _FanoutJournal(checkpoint, batches),
             task_key=batch_task_key,
-            failures=wave_failures if resilient else None,
+            failures=wave_failures,
             quiet=True,
         )
         failed_batches = set(wave_failures.indices())
@@ -832,64 +821,21 @@ def _run_batched(tasks, shared, checkpoint, failures):
     # 4. Decomposed batch members + passthrough tasks run per feature.
     if leftover:
         leftover.sort()
-        sub = [tasks[i] for i in leftover]
-        if resilient:
-            report = failures if failures is not None else FailureReport()
-            values = run_tasks(
-                run_feature_task,
-                sub,
-                shared=shared,
-                config=execution,
-                task_key=feature_task_key,
-                failures=report,
-            )
-            failed_keys = {f.key for f in report}
-        else:
-            values = run_tasks(
-                run_feature_task,
-                sub,
-                shared=shared,
-                config=execution,
-                task_key=feature_task_key,
-            )
-            failed_keys = set()
+        report = failures if failures is not None else FailureReport()
+        values = run_tasks(
+            run_feature_task,
+            [tasks[i] for i in leftover],
+            shared=shared,
+            config=execution,
+            task_key=feature_task_key,
+            failures=report,
+        )
+        failed_keys = {f.key for f in report}
         for i, value in zip(leftover, values):
             results[i] = value
             if checkpoint is not None and keys[i] not in failed_keys:
                 checkpoint.append(keys[i], value)
     return results
-
-
-#: Global switch for the batched scoring gather, the scoring-side twin of
-#: :data:`MASKED_GROUPING`. ``True`` runs the grouped path under a
-#: ``score.batch`` span; ``False`` replays the retired per-model loop
-#: (span ``score.gather``) so the benchmark trajectory can price the
-#: pre-batching engine in the same process. Scores are bitwise identical
-#: either way.
-BATCHED_SCORING = True
-
-
-def _gather_surprisals_scalar(
-    models: list[FeatureModel],
-    x_test_imputed: np.ndarray,
-    x_test_targets: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """The retired per-model gather loop, kept as the priced baseline.
-
-    :func:`gather_surprisals` is pinned bitwise against this exact loop
-    (tests/core/test_batched_scoring.py); benchmarks run it via
-    :data:`BATCHED_SCORING` to measure what the batching bought.
-    """
-    for t, fm in enumerate(models):  # fraclint: disable=FRL015 -- the deliberately scalar baseline the bench trajectory prices
-        truths = x_test_targets[:, fm.feature_id]
-        observed = ~np.isnan(truths)
-        if not observed.any():
-            continue
-        preds = fm.predictor.predict(x_test_imputed[np.ix_(observed, fm.input_ids)])  # fraclint: disable=FRL016 -- per-model gather is the point of this baseline
-        out[observed, t] = (
-            fm.error_model.surprisal(preds, truths[observed]) - fm.entropy  # fraclint: disable=FRL016 -- the baseline's per-model masked gather/scatter, priced by score.gather
-        )
 
 
 def gather_surprisals(
@@ -909,7 +855,8 @@ def gather_surprisals(
     truth gather, the surprisal math (one
     :meth:`~repro.errormodels.base.ErrorModel.batch_surprisal` call), the
     entropy subtraction, and the masked scatter — while keeping the
-    result bitwise equal to the scalar loop:
+    result bitwise equal to the scalar loop (its verbatim copy in
+    tests/core/test_batched_scoring.py is the oracle):
 
     - gathers and scatters are pure copies;
     - linear predictions stay one gemv *per model* — stacking coefficient
@@ -983,14 +930,6 @@ def score_contributions(
     """
     n = x_test_imputed.shape[0]
     out = np.zeros((n, len(models)))
-    if BATCHED_SCORING:
-        with span(
-            "score.batch", attrs={"n_models": len(models), "n_samples": int(n)}
-        ):
-            gather_surprisals(models, x_test_imputed, x_test_targets, out)
-    else:
-        with span(
-            "score.gather", attrs={"n_models": len(models), "n_samples": int(n)}
-        ):
-            _gather_surprisals_scalar(models, x_test_imputed, x_test_targets, out)
+    with span("score.batch", attrs={"n_models": len(models), "n_samples": int(n)}):
+        gather_surprisals(models, x_test_imputed, x_test_targets, out)
     return out

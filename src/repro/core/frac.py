@@ -280,11 +280,6 @@ class FRaC(AnomalyDetector):
                     n_workers=self.config.execution.effective_workers,
                 )
             )
-        resilient = (
-            self.config.execution.retry is not None
-            or checkpoint is not None
-            or fault_plan is not None
-        )
         try:
             with span("fit.train"):
                 results = run_feature_tasks(
@@ -292,7 +287,7 @@ class FRaC(AnomalyDetector):
                     shared,
                     checkpoint=checkpoint,
                     fault_plan=fault_plan,
-                    failures=failures if resilient else None,
+                    failures=failures,
                 )
         except Exception:
             if bus is not None:

@@ -9,7 +9,6 @@ from repro.parallel.faults import (
     InjectedFault,
     RetryPolicy,
     TaskFailure,
-    TaskOutcome,
     TaskTimeoutError,
     WorkerCrashError,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "run_tasks",
     "get_shared",
     "RetryPolicy",
-    "TaskOutcome",
     "TaskFailure",
     "FailureReport",
     "FaultPlan",

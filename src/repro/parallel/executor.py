@@ -16,26 +16,37 @@ through :func:`get_shared`; per-item payloads must stay small and picklable.
 Work functions receive child seeds derived via ``SeedSequence.spawn`` by the
 caller, so results are identical across modes (DESIGN.md §6).
 
-Fault tolerance
----------------
-With a :class:`~repro.parallel.faults.RetryPolicy` on the config (or a
-checkpoint/fault-plan/failure-report argument), :func:`run_tasks` switches
-from the fail-fast fast path to a resilient scheduler: items get a per-task
-timeout and bounded retries with deterministic backoff; a crashed worker
-breaks only its in-flight chunk, which is resubmitted under a fresh pool
-instead of aborting the batch; exhausted items are *skipped* (their result
-is ``None`` — the NS "otherwise: 0" branch) and recorded in a structured
-:class:`~repro.parallel.faults.FailureReport`. Completed results can stream
-to a :class:`~repro.parallel.checkpoint.CheckpointJournal` so a killed
-batch resumes where it left off, re-executing only missing items. Retries
-re-run the same pure ``fn(item)``, so fault handling never changes values
-— only which items complete — preserving the cross-mode determinism
+Scheduling and fault tolerance
+------------------------------
+Every batch runs through one scheduler, driven by a
+:class:`~repro.parallel.faults.RetryPolicy`. Fail-fast is just a policy:
+without ``config.retry`` the scheduler runs under
+``RetryPolicy(max_retries=0, on_exhaustion="raise")``, so the first task
+error propagates with its own class and message. A retrying policy gives
+items a per-task timeout and bounded retries with deterministic backoff; a
+crashed worker breaks only its in-flight work, which is resubmitted under a
+fresh pool instead of aborting the batch; exhausted items are *skipped*
+(their result is ``None`` — the NS "otherwise: 0" branch) and recorded in a
+structured :class:`~repro.parallel.faults.FailureReport`. Completed results
+can stream to a :class:`~repro.parallel.checkpoint.CheckpointJournal` so a
+killed batch resumes where it left off, re-executing only missing items.
+Retries re-run the same pure ``fn(item)``, so fault handling never changes
+values — only which items complete — preserving the cross-mode determinism
 contract.
+
+Process mode submits each wave in chunks of ``ceil(n / (4 * workers))``
+items, so per-submission pickling and IPC are paid per chunk, not per item.
+The worker-side runner catches and times every item on its own, so a task
+error is still charged to exactly its item, and a chunk broken by a worker
+crash goes to the same isolation probe as any crash. A per-item timeout
+needs a per-item future, so under ``task_timeout`` (and in thread mode,
+which has no pickling or IPC to amortize) every chunk holds one item.
 """
 
 from __future__ import annotations
 
 import os
+import traceback
 from collections import deque
 from concurrent.futures import (
     BrokenExecutor,
@@ -55,7 +66,6 @@ from repro.parallel.faults import (
     FaultPlan,
     RetryPolicy,
     TaskFailure,
-    TaskOutcome,
     TaskTimeoutError,
     WorkerCrashError,
 )
@@ -78,6 +88,9 @@ R = TypeVar("R")
 _MODES = ("serial", "thread", "process")
 
 _log = get_logger("parallel.executor")
+
+#: Placeholder for an item that has not settled yet.
+_PENDING: Any = object()
 
 # Worker-side shared state. In serial/thread modes this is process-local; in
 # process mode the initializer installs it in each forked worker.
@@ -104,19 +117,14 @@ class ExecutionConfig:
         ``"serial"``, ``"thread"``, or ``"process"``.
     n_workers:
         Worker count for the pooled modes; ``None`` uses ``os.cpu_count()``.
-    chunk_size:
-        Items per pickled task in process mode; ``None`` picks
-        ``ceil(n_items / (4 * n_workers))``. (The resilient path always
-        submits single-item chunks so failures are attributable.)
     retry:
-        Fault-tolerance policy. ``None`` keeps the legacy fail-fast
-        behaviour: the first task exception propagates and aborts the
-        batch.
+        Fault-tolerance policy. ``None`` means fail-fast, which is just the
+        policy ``RetryPolicy(max_retries=0, on_exhaustion="raise")``: the
+        first task exception propagates and aborts the batch.
     """
 
     mode: str = "serial"
     n_workers: "int | None" = None
-    chunk_size: "int | None" = None
     retry: "RetryPolicy | None" = None
 
     def __post_init__(self) -> None:
@@ -124,10 +132,13 @@ class ExecutionConfig:
             raise ReproError(f"mode must be one of {_MODES}; got {self.mode!r}")
         if self.n_workers is not None and self.n_workers < 1:
             raise ReproError(f"n_workers must be >= 1; got {self.n_workers}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ReproError(f"chunk_size must be >= 1; got {self.chunk_size}")
         if self.retry is not None and not isinstance(self.retry, RetryPolicy):
             raise ReproError(f"retry must be a RetryPolicy; got {self.retry!r}")
+
+    @property
+    def policy(self) -> RetryPolicy:
+        """The policy every batch under this config runs with."""
+        return self.retry or RetryPolicy(max_retries=0, on_exhaustion="raise")
 
     @property
     def effective_workers(self) -> int:
@@ -151,10 +162,9 @@ def run_tasks(
     """Apply ``fn`` to every item, in order, under the configured mode.
 
     ``shared`` is made available to ``fn`` through :func:`get_shared`
-    (installed once per worker, not per item).
-
-    Fault-tolerance arguments (any of them routes the batch through the
-    resilient scheduler; see the module docstring):
+    (installed once per worker, not per item). Every call runs the one
+    scheduler under ``config.policy``: ``config.retry``, or fail-fast
+    without one (see the module docstring).
 
     checkpoint:
         A :class:`~repro.parallel.checkpoint.CheckpointJournal`. Items
@@ -181,23 +191,50 @@ def run_tasks(
     """
     config = config or ExecutionConfig()
     items = list(items)
-    resilient = (
-        config.retry is not None
-        or checkpoint is not None
-        or fault_plan is not None
-        or failures is not None
-    )
     if not items:
         return []
-    if not resilient:
-        return _run_fast(fn, items, shared, config, task_key, quiet)
-    outcomes = _run_resilient(
-        fn, items, shared, config, checkpoint, task_key, fault_plan, failures, quiet
-    )
-    return [outcome.value for outcome in outcomes]
 
+    keys: "list[Any] | None" = None
+    if task_key is not None:
+        keys = [task_key(item) for item in items]
+        if len(set(keys)) != len(keys):
+            raise ReproError("task_key produced duplicate keys within one batch")
+    if checkpoint is not None and keys is None:
+        raise ReproError("checkpointing requires a task_key")
 
-# -- legacy fail-fast path ---------------------------------------------------
+    sched = _Scheduler(len(items), config.policy, keys, checkpoint, failures, quiet)
+
+    pending: list[tuple[int, int]] = []  # (item index, attempts so far)
+    if checkpoint is not None:
+        completed = checkpoint.entries()
+        for i, key in enumerate(keys):
+            if key in completed:
+                sched.record_cached(i, completed[key])
+            else:
+                if sched.bus is not None:
+                    sched.bus.emit(CheckpointMiss(index=i, key=key))
+                pending.append((i, 0))
+        if len(pending) < len(items):
+            _log.info(
+                "checkpoint %s: %d/%d items already complete; resuming %d",
+                getattr(checkpoint, "path", "?"),
+                len(items) - len(pending),
+                len(items),
+                len(pending),
+            )
+    else:
+        pending = [(i, 0) for i in range(len(items))]
+
+    if pending:
+        if config.mode == "serial":
+            _run_serial(fn, items, shared, fault_plan, sched, pending)
+        else:
+            _run_pooled(fn, items, shared, config, fault_plan, sched, pending)
+
+    missing = [i for i, value in enumerate(sched.values) if value is _PENDING]
+    if missing:  # pragma: no cover - scheduler invariant
+        raise ReproError(f"scheduler lost track of items {missing}")
+    return sched.values
 
 
 def _init_worker(shared: Any) -> None:
@@ -214,110 +251,53 @@ def _init_worker(shared: Any) -> None:
     _init_shared(shared)
 
 
-def _traced_call(fn: Callable[[T], R], bus: Any, index: int, key: Any, item: T) -> R:
-    """Fast-path unit with task-lifecycle events (serial/thread modes)."""
-    bus.emit(FeatureTaskStarted(index=index, attempt=0, key=key))
-    w0 = profiling.wall_seconds()
-    value = fn(item)
-    bus.emit(
-        FeatureTaskFinished(
-            index=index,
-            status="ok",
-            attempts=1,
-            key=key,
-            duration_s=profiling.wall_seconds() - w0,
-        )
-    )
-    return value
+class _RemoteTraceback(Exception):
+    """A worker process's traceback text, chained as a task error's cause."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
-def _run_fast(
-    fn: Callable[[T], R],
-    items: list[T],
-    shared: Any,
-    config: ExecutionConfig,
-    task_key: "Callable[[T], Any] | None" = None,
-    quiet: bool = False,
-) -> list[R]:
-    bus = None if quiet else get_bus()
-    keys: "list[Any] | None" = None
-    if bus is not None and task_key is not None:
-        keys = [task_key(item) for item in items]
-
-    def _key(i: int) -> Any:
-        return None if keys is None else keys[i]
-
-    if config.mode == "serial":
-        _init_shared(shared)
-        try:
-            if bus is None:
-                return [fn(item) for item in items]
-            return [
-                _traced_call(fn, bus, i, _key(i), item) for i, item in enumerate(items)
-            ]
-        finally:
-            _init_shared(None)
-
-    if config.mode == "thread":
-        _init_shared(shared)
-        try:
-            with ThreadPoolExecutor(max_workers=config.effective_workers) as pool:
-                if bus is None:
-                    return list(pool.map(fn, items))
-                futures = [
-                    pool.submit(_traced_call, fn, bus, i, _key(i), item)
-                    for i, item in enumerate(items)
-                ]
-                return [fut.result() for fut in futures]
-        finally:
-            _init_shared(None)
-
-    # process mode: fork so workers inherit nothing-to-pickle views of the
-    # shared arrays (POSIX only; matches this library's target platform).
-    ctx = mp.get_context("fork")
-    n_workers = config.effective_workers
-    chunk = config.chunk_size or max(1, (len(items) + 4 * n_workers - 1) // (4 * n_workers))
-    with ProcessPoolExecutor(
-        max_workers=n_workers,
-        mp_context=ctx,
-        initializer=_init_worker,
-        initargs=(shared,),
-    ) as pool:
-        if bus is None:
-            return list(pool.map(fn, items, chunksize=chunk))
-        # Chunked map cannot attribute per-item time; emit the lifecycle
-        # parent-side (dispatch batch up front, completion in map order).
-        for i in range(len(items)):
-            bus.emit(FeatureTaskStarted(index=i, attempt=0, key=_key(i)))
-        out: list[R] = []
-        for i, value in enumerate(pool.map(fn, items, chunksize=chunk)):
-            bus.emit(
-                FeatureTaskFinished(
-                    index=i, status="ok", attempts=1, key=_key(i), duration_s=None
-                )
-            )
-            out.append(value)
-        return out
-
-
-# -- resilient path ----------------------------------------------------------
-
-
-def _apply(
+def _attempt(
     fn: Callable[[T], R],
     fault_plan: "FaultPlan | None",
     index: int,
     attempt: int,
     item: T,
-) -> R:
-    """The unit the resilient path executes (module-level: picklable)."""
-    if fault_plan is not None:
-        fault_plan.apply(index, attempt)
-    return fn(item)
+) -> tuple:
+    """Run one attempt of one item, without letting a task error escape.
+
+    Returns ``(True, value, execute_seconds)`` or ``(False, error,
+    traceback_text)``; the text survives pickling where the error's own
+    traceback does not.
+    """
+    w0 = profiling.wall_seconds()
+    try:
+        if fault_plan is not None:
+            fault_plan.apply(index, attempt)
+        value = fn(item)
+    except Exception as exc:
+        return False, exc, traceback.format_exc()
+    return True, value, profiling.wall_seconds() - w0
+
+
+def _run_chunk(
+    fn: Callable[[T], R],
+    fault_plan: "FaultPlan | None",
+    chunk: list[tuple[int, int]],
+    chunk_items: list[T],
+) -> list[tuple]:
+    """The unit a pool executes (module-level: picklable): one outcome per
+    ``(index, attempt)`` of ``chunk``, so each error stays charged to its
+    item."""
+    return [
+        _attempt(fn, fault_plan, index, attempt, item)
+        for (index, attempt), item in zip(chunk, chunk_items)
+    ]
 
 
 class _Scheduler:
-    """Shared bookkeeping for the serial and pooled resilient runners."""
+    """Shared bookkeeping for the serial and pooled runners."""
 
     def __init__(
         self,
@@ -332,14 +312,16 @@ class _Scheduler:
         self.keys = keys
         self.checkpoint = checkpoint
         self.failures = failures if failures is not None else FailureReport()
-        self.outcomes: "list[TaskOutcome | None]" = [None] * n
+        #: Each item's result (``None`` once skipped); ``_PENDING`` until
+        #: the item settles.
+        self.values: list[Any] = [_PENDING] * n
         self.bus = None if quiet else get_bus()
 
     def key_for(self, index: int) -> Any:
         return None if self.keys is None else self.keys[index]
 
     def record_cached(self, index: int, value: Any) -> None:
-        self.outcomes[index] = TaskOutcome(index=index, status="cached", value=value)
+        self.values[index] = value
         if self.bus is not None:
             key = self.key_for(index)
             self.bus.emit(CheckpointHit(index=index, key=key))
@@ -350,9 +332,7 @@ class _Scheduler:
     def record_ok(
         self, index: int, attempts: int, value: Any, duration_s: "float | None" = None
     ) -> None:
-        self.outcomes[index] = TaskOutcome(
-            index=index, status="ok", value=value, attempts=attempts
-        )
+        self.values[index] = value
         if self.checkpoint is not None:
             self.checkpoint.append(self.key_for(index), value)
         if self.bus is not None:
@@ -389,9 +369,7 @@ class _Scheduler:
             attempts=attempts,
         )
         self.failures.record(failure)
-        self.outcomes[index] = TaskOutcome(
-            index=index, status="skipped", attempts=attempts, failure=failure
-        )
+        self.values[index] = None
         if self.bus is not None:
             self.bus.emit(
                 FeatureTaskFinished(
@@ -411,65 +389,7 @@ class _Scheduler:
         )
 
 
-def _run_resilient(
-    fn: Callable[[T], R],
-    items: list[T],
-    shared: Any,
-    config: ExecutionConfig,
-    checkpoint: Any,
-    task_key: "Callable[[T], Any] | None",
-    fault_plan: "FaultPlan | None",
-    failures: "FailureReport | None",
-    quiet: bool = False,
-) -> list[TaskOutcome]:
-    # With no explicit policy the resilient path keeps fail-fast semantics
-    # (no retries, first error raises) while still honouring checkpoints.
-    policy = config.retry or RetryPolicy(max_retries=0, on_exhaustion="raise")
-
-    keys: "list[Any] | None" = None
-    if task_key is not None:
-        keys = [task_key(item) for item in items]
-        if len(set(keys)) != len(keys):
-            raise ReproError("task_key produced duplicate keys within one batch")
-    if checkpoint is not None and keys is None:
-        raise ReproError("checkpointing requires a task_key")
-
-    sched = _Scheduler(len(items), policy, keys, checkpoint, failures, quiet)
-
-    pending: list[tuple[int, int]] = []  # (item index, attempts so far)
-    if checkpoint is not None:
-        completed = checkpoint.entries()
-        for i, key in enumerate(keys):
-            if key in completed:
-                sched.record_cached(i, completed[key])
-            else:
-                if sched.bus is not None:
-                    sched.bus.emit(CheckpointMiss(index=i, key=key))
-                pending.append((i, 0))
-        if len(pending) < len(items):
-            _log.info(
-                "checkpoint %s: %d/%d items already complete; resuming %d",
-                getattr(checkpoint, "path", "?"),
-                len(items) - len(pending),
-                len(items),
-                len(pending),
-            )
-    else:
-        pending = [(i, 0) for i in range(len(items))]
-
-    if pending:
-        if config.mode == "serial":
-            _run_resilient_serial(fn, items, shared, fault_plan, sched, pending)
-        else:
-            _run_resilient_pool(fn, items, shared, config, fault_plan, sched, pending)
-
-    missing = [i for i, outcome in enumerate(sched.outcomes) if outcome is None]
-    if missing:  # pragma: no cover - scheduler invariant
-        raise ReproError(f"scheduler lost track of items {missing}")
-    return list(sched.outcomes)
-
-
-def _run_resilient_serial(
+def _run_serial(
     fn: Callable[[T], R],
     items: list[T],
     shared: Any,
@@ -489,31 +409,25 @@ def _run_resilient_serial(
                             index=index, attempt=attempt, key=sched.key_for(index)
                         )
                     )
-                w0 = profiling.wall_seconds() if bus is not None else 0.0
-                try:
-                    value = _apply(fn, fault_plan, index, attempt, items[index])
-                except Exception as exc:
-                    attempt += 1
-                    if attempt > policy.max_retries:
-                        sched.record_exhausted(index, attempt, "exception", exc)
-                        break
-                    backoff = policy.backoff_seconds(attempt)
-                    if bus is not None:
-                        bus.emit(
-                            RetryScheduled(
-                                index=index,
-                                attempt=attempt,
-                                kind="exception",
-                                backoff_s=backoff,
-                            )
-                        )
-                    profiling.sleep_seconds(backoff)
-                else:
-                    duration = (
-                        profiling.wall_seconds() - w0 if bus is not None else None
-                    )
-                    sched.record_ok(index, attempt + 1, value, duration)
+                ok, payload, detail = _attempt(fn, fault_plan, index, attempt, items[index])
+                if ok:
+                    sched.record_ok(index, attempt + 1, payload, detail)
                     break
+                attempt += 1
+                if attempt > policy.max_retries:
+                    sched.record_exhausted(index, attempt, "exception", payload)
+                    break
+                backoff = policy.backoff_seconds(attempt)
+                if bus is not None:
+                    bus.emit(
+                        RetryScheduled(
+                            index=index,
+                            attempt=attempt,
+                            kind="exception",
+                            backoff_s=backoff,
+                        )
+                    )
+                profiling.sleep_seconds(backoff)
     finally:
         _init_shared(None)
 
@@ -581,7 +495,7 @@ def _charge(
             )
 
 
-def _run_resilient_pool(
+def _run_pooled(
     fn: Callable[[T], R],
     items: list[T],
     shared: Any,
@@ -618,6 +532,34 @@ def _run_resilient_pool(
             _init_shared(None)
 
 
+def _settle(
+    sched: _Scheduler,
+    queue: "deque[tuple[int, int]]",
+    retry_attempts: list[int],
+    chunk: list[tuple[int, int]],
+    outcomes: list[tuple],
+) -> None:
+    """Record a harvested chunk: each item's value, or its own error."""
+    for (index, attempt), (ok, payload, detail) in zip(chunk, outcomes):
+        if ok:
+            sched.record_ok(index, attempt + 1, payload, detail)
+            continue
+        if payload.__traceback__ is None and detail:
+            # Unpickled from a worker process: chain the worker-side
+            # traceback, as concurrent.futures does for its own futures.
+            payload.__cause__ = _RemoteTraceback(detail)
+        _charge(sched, queue, retry_attempts, index, attempt + 1, "exception", payload)
+
+
+def _finished(fut: Future) -> bool:
+    """Did ``fut`` settle on its own (value or task error), not by a crash?"""
+    return (
+        fut.done()
+        and not fut.cancelled()
+        and not isinstance(fut.exception(), BrokenExecutor)
+    )
+
+
 def _wide_wave(
     fn: Callable[[T], R],
     items: list[T],
@@ -630,85 +572,80 @@ def _wide_wave(
 ) -> bool:
     """Run every pending item under a fresh full-width pool.
 
-    A wave that breaks — worker crash or per-task timeout — harvests
-    whatever finished, requeues the survivors untouched, and recycles the
-    pool. A *timeout* is attributable (the timed-out future is known
-    exactly) and is charged directly. A *crash* is not: the dying worker
-    marks every in-flight future ``BrokenExecutor``, so whichever future
-    the harvest loop happened to be blocked on is as likely an innocent
-    bystander as the culprit. Crash waves therefore charge nobody and
-    return ``True``, asking the caller to run an isolation probe next.
+    Process mode submits the wave in chunks of ``ceil(n / (4 * workers))``
+    items; under a ``task_timeout``, and in thread mode, each chunk holds
+    one item. A wave that breaks — worker crash or per-task timeout —
+    harvests whatever finished, requeues the survivors untouched, and
+    recycles the pool. A *timeout* is attributable (the timed-out
+    single-item future is known exactly) and is charged directly. A
+    *crash* is not: the dying worker marks every in-flight future
+    ``BrokenExecutor``, so whichever chunk the harvest loop happened to be
+    blocked on is as likely an innocent bystander as the culprit. Crash
+    waves therefore charge nobody and return ``True``, asking the caller
+    to run an isolation probe next.
     """
     policy = sched.policy
     bus = sched.bus
-    pool = _make_pool(config.mode, config.effective_workers, shared)
+    n_workers = config.effective_workers
     batch = list(queue)
     queue.clear()
+    size = 1
+    if config.mode == "process" and policy.task_timeout is None:
+        size = -(-len(batch) // (4 * n_workers))
+    pool = _make_pool(config.mode, n_workers, shared)
     broken = False
     crashed = False
-    submitted_at: dict[int, float] = {}
     try:
-        futures: "list[tuple[int, int, Future | None]]" = []
-        for index, attempt in batch:
-            if broken:
-                futures.append((index, attempt, None))
-                continue
-            try:
-                fut = pool.submit(_apply, fn, fault_plan, index, attempt, items[index])
-            except (BrokenExecutor, RuntimeError) as exc:
-                # The pool died while the wave was still being submitted;
-                # everything from here on re-runs after the isolation probe.
-                _log.warning("pool broke during submission: %s", exc)
-                broken = crashed = True
-                futures.append((index, attempt, None))
-            else:
-                if bus is not None:
+        futures: "list[tuple[list[tuple[int, int]], Future | None]]" = []
+        for lo in range(0, len(batch), size):
+            chunk = batch[lo : lo + size]
+            fut = None
+            if not broken:
+                try:
+                    fut = pool.submit(
+                        _run_chunk, fn, fault_plan, chunk, [items[i] for i, _ in chunk]
+                    )
+                except (BrokenExecutor, RuntimeError) as exc:
+                    # The pool died while the wave was still being submitted;
+                    # everything from here on re-runs after the isolation probe.
+                    _log.warning("pool broke during submission: %s", exc)
+                    broken = crashed = True
+            if fut is not None and bus is not None:
+                for index, attempt in chunk:
                     bus.emit(
                         FeatureTaskStarted(
                             index=index, attempt=attempt, key=sched.key_for(index)
                         )
                     )
-                    submitted_at[index] = profiling.wall_seconds()
-                futures.append((index, attempt, fut))
+            futures.append((chunk, fut))
 
-        def _elapsed(index: int) -> "float | None":
-            t0 = submitted_at.get(index)
-            return None if t0 is None else profiling.wall_seconds() - t0
-
-        for index, attempt, fut in futures:
-            if fut is None:
-                queue.append((index, attempt))
-                continue
-            if broken:
-                # Pool already declared dead: keep any result that finished
-                # before the break, requeue the rest at an unchanged attempt
-                # count (none of them is known to be at fault).
-                if fut.done() and not fut.cancelled() and fut.exception() is None:
-                    sched.record_ok(index, attempt + 1, fut.result(), _elapsed(index))
-                else:
+        for chunk, fut in futures:
+            if fut is None or (broken and not _finished(fut)):
+                # Never submitted, or still in flight when the pool was
+                # declared dead: requeue at an unchanged attempt count
+                # (none of these items is known to be at fault).
+                if fut is not None:
                     fut.cancel()
-                    exc = fut.exception() if fut.done() and not fut.cancelled() else None
-                    if exc is not None and not isinstance(exc, BrokenExecutor):
-                        _charge(
-                            sched, queue, retry_attempts, index, attempt + 1, "exception", exc
-                        )
-                    else:
-                        queue.append((index, attempt))
+                queue.extend(chunk)
                 continue
             try:
-                value = fut.result(timeout=policy.task_timeout)
+                outcomes = fut.result(timeout=policy.task_timeout)
             except FuturesTimeoutError as exc:
                 # The item is hung (or too slow). The pool cannot be trusted
                 # to free the worker, so recycle it.
                 broken = True
+                index, attempt = chunk[0]
                 _charge(sched, queue, retry_attempts, index, attempt + 1, "timeout", exc)
+                continue
             except BrokenExecutor:
                 broken = crashed = True
-                queue.append((index, attempt))
+                queue.extend(chunk)
+                continue
             except Exception as exc:
-                _charge(sched, queue, retry_attempts, index, attempt + 1, "exception", exc)
-            else:
-                sched.record_ok(index, attempt + 1, value, _elapsed(index))
+                # The chunk itself failed (say, a payload that will not
+                # pickle): every item in it gets that error.
+                outcomes = [(False, exc, None)] * len(chunk)
+            _settle(sched, queue, retry_attempts, chunk, outcomes)
         if crashed and bus is not None:
             # One event per broken wave, emitted after the harvest settles so
             # the requeue count is exact. The phase is always "wave" whether
@@ -749,7 +686,9 @@ def _isolation_probe(
     try:
         for pos, (index, attempt) in enumerate(batch):
             try:
-                fut = pool.submit(_apply, fn, fault_plan, index, attempt, items[index])
+                fut = pool.submit(
+                    _run_chunk, fn, fault_plan, [(index, attempt)], [items[index]]
+                )
             except (BrokenExecutor, RuntimeError) as exc:  # pragma: no cover
                 broken = True
                 _log.warning("isolation pool broke at submission: %s", exc)
@@ -761,9 +700,8 @@ def _isolation_probe(
                         index=index, attempt=attempt, key=sched.key_for(index)
                     )
                 )
-            w0 = profiling.wall_seconds() if bus is not None else 0.0
             try:
-                value = fut.result(timeout=policy.task_timeout)
+                outcomes = fut.result(timeout=policy.task_timeout)
             except FuturesTimeoutError as exc:
                 broken = True
                 _charge(sched, queue, retry_attempts, index, attempt + 1, "timeout", exc)
@@ -784,9 +722,7 @@ def _isolation_probe(
                 queue.extend(batch[pos + 1 :])
                 return
             except Exception as exc:
-                _charge(sched, queue, retry_attempts, index, attempt + 1, "exception", exc)
-            else:
-                duration = profiling.wall_seconds() - w0 if bus is not None else None
-                sched.record_ok(index, attempt + 1, value, duration)
+                outcomes = [(False, exc, None)]
+            _settle(sched, queue, retry_attempts, [(index, attempt)], outcomes)
     finally:
         _teardown_pool(pool, broken)

@@ -2,14 +2,14 @@
 
 At SNP scale a per-feature batch holds ~170k work items; one hung learner
 or one crashed worker must not discard hours of finished training. This
-module defines the vocabulary the executor's resilient path speaks:
+module defines the vocabulary the executor's scheduler speaks:
 
 - :class:`RetryPolicy` — per-task timeout plus bounded retry with a
   deterministic exponential-backoff schedule;
-- :class:`TaskOutcome` / :class:`TaskFailure` / :class:`FailureReport` —
-  the structured record of what happened to every item, so a feature whose
-  retries are exhausted is *skipped* (the NS "otherwise: 0" branch applied
-  at train time) and accounted for, never silently lost;
+- :class:`TaskFailure` / :class:`FailureReport` — the structured record of
+  every item whose retries are exhausted, so a *skipped* feature (the NS
+  "otherwise: 0" branch applied at train time) is accounted for, never
+  silently lost;
 - :class:`FaultPlan` — a deterministic fault-injection hook (fail, hang,
   or crash item *i* on attempt *k*) used by the fault-tolerance and
   determinism test suites.
@@ -164,22 +164,6 @@ class TaskFailure:
             message=str(payload.get("message", "")),
             attempts=int(payload.get("attempts", 0)),
         )
-
-
-@dataclass(frozen=True)
-class TaskOutcome:
-    """What happened to one work item.
-
-    ``status`` is ``"ok"`` (executed successfully), ``"cached"`` (value
-    replayed from a checkpoint journal, zero executions this run), or
-    ``"skipped"`` (retries exhausted; ``failure`` holds the record).
-    """
-
-    index: int
-    status: str
-    value: Any = None
-    attempts: int = 0
-    failure: "TaskFailure | None" = None
 
 
 @dataclass

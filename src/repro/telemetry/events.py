@@ -154,9 +154,10 @@ class FeatureTaskFinished(TelemetryEvent):
 
     ``status``: ``"ok"`` (executed), ``"cached"`` (replayed from the
     checkpoint journal), or ``"skipped"`` (retries exhausted; ``kind``
-    holds the failure class). ``duration_s`` is the scheduler-observed
-    wall time of the final attempt, ``None`` where the execution mode
-    cannot attribute per-item time (process-mode chunked map).
+    holds the failure class). ``duration_s`` is the worker-measured
+    execute time of an ``"ok"`` item's final attempt; ``None`` otherwise,
+    and on the per-feature lifecycle the batched training path re-emits,
+    where one batch item did the work of many features.
     """
 
     name: ClassVar[str] = "FeatureTaskFinished"

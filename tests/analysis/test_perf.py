@@ -171,12 +171,15 @@ class TestLedger:
 
     def test_scoring_entries_price_below_training(self, ledger):
         """The scoring half of the rewrite, visible in the ranking: every
-        finding attributed to ``score_contributions`` now costs a small
-        fraction of the top training entry."""
+        finding priced by a scoring span (``score_contributions`` or the
+        ``gather_surprisals`` it runs) now costs a small fraction of the
+        top training entry."""
         scoring = [
             e
             for e in ledger.entries
-            if e.attributed_via is not None and "score_contributions" in e.attributed_via
+            if e.attributed_via is not None
+            and ("score_contributions" in e.attributed_via
+                 or "gather_surprisals" in e.attributed_via)
         ]
         assert scoring, "the scoring gathers should still be priced"
         top_wall = ledger.entries[0].wall_s

@@ -221,7 +221,8 @@ class TestMaskedPlanner:
         assert [t.feature_id for t in batches[0].tasks] == list(range(d))
 
     def test_masked_false_reproduces_exact_grouping(self):
-        """The singleton-batch baseline bench_table4 prices against."""
+        """Without masked grouping (a regressor that cannot solve masked
+        groups), differing input ids plan as singleton exact batches."""
         d = 6
         rng = np.random.default_rng(2)
         x = rng.normal(size=(25, d))

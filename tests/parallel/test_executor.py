@@ -30,10 +30,6 @@ class TestExecutionConfig:
         with pytest.raises(ReproError):
             ExecutionConfig(mode="thread", n_workers=0)
 
-    def test_bad_chunk(self):
-        with pytest.raises(ReproError):
-            ExecutionConfig(chunk_size=0)
-
     def test_effective_workers_pool(self):
         cfg = ExecutionConfig(mode="thread", n_workers=3)
         assert cfg.effective_workers == 3
@@ -54,7 +50,7 @@ class TestRunTasks:
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     def test_shared_state_visible(self, mode):
-        cfg = ExecutionConfig(mode=mode, n_workers=2, chunk_size=3)
+        cfg = ExecutionConfig(mode=mode, n_workers=2)
         shared = {"data": np.arange(10) * 10}
         out = run_tasks(_shared_lookup, list(range(10)), shared=shared, config=cfg)
         assert out == [i * 10 for i in range(10)]

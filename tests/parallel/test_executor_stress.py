@@ -23,7 +23,7 @@ def _maybe_fail(i):
 class TestExecutorStress:
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     def test_many_small_tasks(self, mode):
-        cfg = ExecutionConfig(mode=mode, n_workers=2, chunk_size=7)
+        cfg = ExecutionConfig(mode=mode, n_workers=2)
         out = run_tasks(_identity, list(range(500)), config=cfg)
         assert out == list(range(500))
 
@@ -32,7 +32,7 @@ class TestExecutorStress:
         """A large shared array is installed once; results must still be
         correct for every task."""
         arr = np.ones(200_000)
-        cfg = ExecutionConfig(mode=mode, n_workers=2, chunk_size=10)
+        cfg = ExecutionConfig(mode=mode, n_workers=2)
         out = run_tasks(
             _read_shared_sum, list(range(40)), shared={"arr": arr}, config=cfg
         )

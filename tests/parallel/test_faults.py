@@ -12,7 +12,6 @@ from repro.parallel.faults import (
     InjectedFault,
     RetryPolicy,
     TaskFailure,
-    TaskOutcome,
 )
 from repro.utils.exceptions import ReproError
 
@@ -141,11 +140,3 @@ class TestFailureReport:
         payload = pickle.loads(pickle.dumps(report.as_dict()))
         assert payload["n_failures"] == 1
         assert payload["failures"][0]["index"] == 3
-
-
-class TestTaskOutcome:
-    def test_statuses(self):
-        ok = TaskOutcome(index=0, status="ok", value=1, attempts=1)
-        cached = TaskOutcome(index=1, status="cached", value=2)
-        skipped = TaskOutcome(index=2, status="skipped", attempts=3)
-        assert ok.value == 1 and cached.attempts == 0 and skipped.value is None
